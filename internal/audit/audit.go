@@ -3,6 +3,17 @@
 // claims ("identities of channel members are not revealed to the wider
 // network", "the ordering service has full visibility") into assertions the
 // experiment suite can check and the benchmark harness can tabulate.
+//
+// # Memory
+//
+// A Log retains every distinct observation for its lifetime; bounding
+// retention would change what the accounting can answer. A served
+// submission adds about two observations (the gateway's and the orderer's
+// envelope metadata), so the log of a long-running gateway grows linearly
+// with its traffic. Each observation costs one recording-order entry and
+// one item-set slot, about 82 B with Go 1.24 on amd64 (BenchmarkLogRecord
+// reports it as retained-B/obs), plus the item string, which the two
+// share.
 package audit
 
 import (
@@ -45,16 +56,51 @@ type Observation struct {
 	Item     string
 }
 
-// Log is a concurrency-safe observation log.
+// chunkLen is the number of observations one recording-order chunk holds.
+// Chunks are fixed-size arrays, so the log grows by adding a chunk and
+// never copies the observations it already holds.
+const chunkLen = 512
+
+// entry is one observation in recording order: the interned
+// (observer, class) key and the item.
+type entry struct {
+	key  uint32
+	item string
+}
+
+type chunk [chunkLen]entry
+
+// obsKey is an (observer, class) pair, interned once per log.
+type obsKey struct {
+	observer string
+	class    DataClass
+}
+
+// keyState holds what one (observer, class) key has seen.
+type keyState struct {
+	obsKey
+	items map[string]struct{}
+}
+
+// Log is a concurrency-safe observation log. The (observer, class) pairs
+// are interned in a small key table and each pair keeps its own item set,
+// so Saw and SawAny are O(1) and ItemsSeen and Observers never scan the
+// whole log; recording order lives in fixed-size chunks.
 type Log struct {
-	mu   sync.Mutex
-	obs  []Observation
-	seen map[Observation]bool
+	mu sync.Mutex
+	// ids maps an (observer, class) pair to its index in keys.
+	ids  map[obsKey]uint32
+	keys []*keyState
+	// chunks hold the observations in recording order; n counts them. Only
+	// entry n is ever written, so a reader holding a snapshot of chunks
+	// and n may iterate the first n entries without the lock.
+	chunks []*chunk
+	n      int
 }
 
 // NewLog creates an empty observation log.
 func NewLog() *Log {
-	return &Log{seen: make(map[Observation]bool)}
+	return &Log{ids: make(map[obsKey]uint32)}
 }
 
 // Record notes that observer saw item. Duplicate observations collapse.
@@ -62,14 +108,35 @@ func (l *Log) Record(observer string, class DataClass, item string) {
 	if l == nil {
 		return // substrates may run without accounting
 	}
-	o := Observation{Observer: observer, Class: class, Item: item}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.seen[o] {
+	id := obsKey{observer, class}
+	k, ok := l.ids[id]
+	if !ok {
+		k = uint32(len(l.keys))
+		l.ids[id] = k
+		l.keys = append(l.keys, &keyState{obsKey: id, items: make(map[string]struct{})})
+	}
+	items := l.keys[k].items
+	if _, dup := items[item]; dup {
 		return
 	}
-	l.seen[o] = true
-	l.obs = append(l.obs, o)
+	items[item] = struct{}{}
+	if l.n == len(l.chunks)*chunkLen {
+		l.chunks = append(l.chunks, new(chunk))
+	}
+	l.chunks[l.n/chunkLen][l.n%chunkLen] = entry{key: k, item: item}
+	l.n++
+}
+
+// itemsLocked returns the item set of (observer, class), nil if the pair
+// saw nothing. Caller holds l.mu.
+func (l *Log) itemsLocked(observer string, class DataClass) map[string]struct{} {
+	k, ok := l.ids[obsKey{observer, class}]
+	if !ok {
+		return nil
+	}
+	return l.keys[k].items
 }
 
 // Saw reports whether observer recorded an observation of item.
@@ -79,7 +146,8 @@ func (l *Log) Saw(observer string, class DataClass, item string) bool {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.seen[Observation{Observer: observer, Class: class, Item: item}]
+	_, ok := l.itemsLocked(observer, class)[item]
+	return ok
 }
 
 // SawAny reports whether observer saw anything of the given class.
@@ -89,12 +157,7 @@ func (l *Log) SawAny(observer string, class DataClass) bool {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for o := range l.seen {
-		if o.Observer == observer && o.Class == class {
-			return true
-		}
-	}
-	return false
+	return len(l.itemsLocked(observer, class)) > 0
 }
 
 // ItemsSeen returns the sorted items of a class seen by observer.
@@ -103,13 +166,15 @@ func (l *Log) ItemsSeen(observer string, class DataClass) []string {
 		return nil
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	items := l.itemsLocked(observer, class)
 	var out []string
-	for o := range l.seen {
-		if o.Observer == observer && o.Class == class {
-			out = append(out, o.Item)
+	if len(items) > 0 {
+		out = make([]string, 0, len(items))
+		for it := range items {
+			out = append(out, it)
 		}
 	}
+	l.mu.Unlock()
 	sort.Strings(out)
 	return out
 }
@@ -120,15 +185,34 @@ func (l *Log) Observers(class DataClass, item string) []string {
 		return nil
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	var out []string
-	for o := range l.seen {
-		if o.Class == class && o.Item == item {
-			out = append(out, o.Observer)
+	for _, ks := range l.keys {
+		if ks.class != class {
+			continue
+		}
+		if _, ok := ks.items[item]; ok {
+			out = append(out, ks.observer)
 		}
 	}
+	l.mu.Unlock()
 	sort.Strings(out)
 	return out
+}
+
+// each calls fn for every observation in recording order. It iterates a
+// snapshot without holding the lock, so fn may query the log; observations
+// recorded meanwhile are not visited.
+func (l *Log) each(fn func(key *keyState, item string)) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	chunks, keys, n := l.chunks, l.keys, l.n
+	l.mu.Unlock()
+	for i := 0; i < n; i++ {
+		e := &chunks[i/chunkLen][i%chunkLen]
+		fn(keys[e.key], e.item)
+	}
 }
 
 // All returns a copy of every observation in recording order.
@@ -136,10 +220,10 @@ func (l *Log) All() []Observation {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Observation, len(l.obs))
-	copy(out, l.obs)
+	out := make([]Observation, 0, l.Len())
+	l.each(func(k *keyState, item string) {
+		out = append(out, Observation{Observer: k.observer, Class: k.class, Item: item})
+	})
 	return out
 }
 
@@ -150,7 +234,7 @@ func (l *Log) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.obs)
+	return l.n
 }
 
 // Policy decides whether an observation is authorized. Experiments encode
@@ -161,11 +245,11 @@ type Policy func(o Observation) bool
 // Violations returns every observation the policy rejects.
 func (l *Log) Violations(allowed Policy) []Observation {
 	var out []Observation
-	for _, o := range l.All() {
-		if !allowed(o) {
+	l.each(func(k *keyState, item string) {
+		if o := (Observation{Observer: k.observer, Class: k.class, Item: item}); !allowed(o) {
 			out = append(out, o)
 		}
-	}
+	})
 	return out
 }
 
@@ -174,11 +258,11 @@ func (l *Log) Violations(allowed Policy) []Observation {
 // leakage tables of experiments E3–E6.
 func (l *Log) Matrix(class DataClass) map[string][]string {
 	out := make(map[string][]string)
-	for _, o := range l.All() {
-		if o.Class == class {
-			out[o.Observer] = append(out[o.Observer], o.Item)
+	l.each(func(k *keyState, item string) {
+		if k.class == class {
+			out[k.observer] = append(out[k.observer], item)
 		}
-	}
+	})
 	for k := range out {
 		sort.Strings(out[k])
 	}

@@ -40,8 +40,11 @@ type ChaosConfig struct {
 	// submissions; 0 disables. Do not combine with KillShard — a dead
 	// shard's low load reads as "cold" and attracts migrations.
 	RebalanceEvery int
-	// RevokeMidStorm revokes the last member's certificate at the halfway
-	// mark; its remaining submissions must all be rejected.
+	// RevokeMidStorm revokes the last member's certificate when one of its
+	// submitters reaches the halfway mark of its own submissions; its
+	// remaining submissions must all be rejected. The trigger is the
+	// member's own progress, not the global count, so the member always
+	// has submissions left however the scheduler orders the submitters.
 	RevokeMidStorm bool
 }
 
@@ -219,7 +222,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		failed = map[string]int{}
 
 		faultMu     sync.Mutex // serializes fault injections
-		revokedDone bool
+		revokeOnce  sync.Once
 		shardKilled bool
 		shardAlive  = true
 	)
@@ -243,10 +246,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			return
 		}
 		defer faultMu.Unlock()
-		if cfg.RevokeMidStorm && !revokedDone && n >= int64(total/2) {
-			ca.Revoke(certs[revoked].Serial)
-			revokedDone = true
-		}
 		if cfg.KillShard {
 			if shardAlive && !shardKilled && n >= int64(killAt) {
 				replicated[sb.ShardFor(channels[0])].Kill()
@@ -283,6 +282,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			for i := 0; i < cfg.Submissions; i++ {
 				n := counter.Add(1)
 				inject(n)
+				if cfg.RevokeMidStorm && m == revoked && i == cfg.Submissions/2 {
+					revokeOnce.Do(func() { ca.Revoke(certs[revoked].Serial) })
+				}
 				req := &middleware.Request{
 					Channel:      channels[(w+i)%len(channels)],
 					Principal:    m,

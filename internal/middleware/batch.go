@@ -18,10 +18,36 @@ import (
 // can reconcile.
 var ErrBatchRelease = errors.New("middleware: batch release failed")
 
-// groupPayloadsPool recycles the payload-view scratch of group releases:
-// without it every group release allocates a fresh slice of N pointers
-// just to hand the member payloads to the sealer.
-var groupPayloadsPool = sync.Pool{New: func() any { return new([][]byte) }}
+// groupBucket is one open group: its members and copies of their plaintext
+// payloads. A payload handed to the gateway may alias a buffer its caller
+// reuses once Submit returns (the TCP edge's read buffer does), so the
+// bucket keeps its own copy in buf, which it owns and reuses with the
+// bucket.
+type groupBucket struct {
+	reqs     []*Request
+	payloads [][]byte // views into buf, one per member
+	buf      []byte
+}
+
+// add buffers req with a copy of its payload.
+func (g *groupBucket) add(req *Request) {
+	var p []byte
+	g.buf, p = appendCopy(g.buf, req.Payload, cap(g.reqs))
+	g.reqs = append(g.reqs, req)
+	g.payloads = append(g.payloads, p)
+}
+
+// appendCopy appends a copy of p to buf and returns the grown buf and the
+// copy. A nil buf starts with room for n payloads like p; if buf still
+// grows, earlier copies keep pointing at the old array, which stays valid.
+func appendCopy(buf, p []byte, n int) ([]byte, []byte) {
+	if buf == nil {
+		buf = make([]byte, 0, n*len(p))
+	}
+	start := len(buf)
+	buf = append(buf, p...)
+	return buf, buf[start:len(buf):len(buf)]
+}
 
 // Batch aggregates accepted submissions and releases them downstream in
 // groups of the configured size, the write-combining tier in front of the
@@ -55,9 +81,10 @@ type Batch struct {
 	fullMeta string
 
 	mu      sync.Mutex
-	pending []*Request                 // plain mode buffer
-	groups  map[*channelKey][]*Request // group-seal buckets per (channel, epoch)
-	free    [][]*Request               // released bucket arrays, ready for reuse
+	pending []*Request                   // plain mode buffer
+	plain   []byte                       // plain mode copies of unsealed payloads
+	groups  map[*channelKey]*groupBucket // group-seal buckets per (channel, epoch)
+	free    []*groupBucket               // released buckets, ready for reuse
 	next    Handler
 
 	groupsSealed atomic.Uint64 // group envelopes released (group-seal mode)
@@ -79,7 +106,7 @@ func (b *Batch) Name() string { return StageBatch }
 // stage's epoch key cache. Called by Config.Build before traffic.
 func (b *Batch) bindEncrypt(enc *Encrypt) {
 	b.enc = enc
-	b.groups = make(map[*channelKey][]*Request)
+	b.groups = make(map[*channelKey]*groupBucket)
 	b.fullMeta = GroupEnvelopeScheme + " n=" + strconv.Itoa(b.size)
 }
 
@@ -87,26 +114,26 @@ func (b *Batch) bindEncrypt(enc *Encrypt) {
 func (b *Batch) GroupSeal() bool { return b.enc != nil }
 
 // takeBucketLocked returns an empty bucket with capacity for a full group,
-// reusing a released backing array when one is free. Caller holds b.mu.
-func (b *Batch) takeBucketLocked() []*Request {
+// reusing a released bucket when one is free. Caller holds b.mu.
+func (b *Batch) takeBucketLocked() *groupBucket {
 	if n := len(b.free); n > 0 {
 		g := b.free[n-1]
 		b.free = b.free[:n-1]
 		return g
 	}
-	return make([]*Request, 0, b.size)
+	return &groupBucket{reqs: make([]*Request, 0, b.size), payloads: make([][]byte, 0, b.size)}
 }
 
-// recycleBucket scrubs a released bucket's member pointers and returns its
-// backing array to the freelist, bounded so a burst of concurrently open
-// buckets cannot pin arrays forever.
-func (b *Batch) recycleBucket(g []*Request) {
-	for i := range g {
-		g[i] = nil
-	}
+// recycleBucket scrubs a released bucket's member pointers and payload
+// views and returns it to the freelist, bounded so a burst of concurrently
+// open buckets cannot pin buffers forever.
+func (b *Batch) recycleBucket(g *groupBucket) {
+	clear(g.reqs)
+	clear(g.payloads)
+	g.reqs, g.payloads, g.buf = g.reqs[:0], g.payloads[:0], g.buf[:0]
 	b.mu.Lock()
 	if len(b.free) < 4 {
-		b.free = append(b.free, g[:0])
+		b.free = append(b.free, g)
 	}
 	b.mu.Unlock()
 }
@@ -142,10 +169,10 @@ func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
 			// member by member costs log2(size) reallocations, copies, and
 			// write-barrier work per group, all on the admission path.
 			g = b.takeBucketLocked()
-		}
-		g = append(g, req)
-		if len(g) < b.size {
 			b.groups[ck] = g
+		}
+		g.add(req)
+		if len(g.reqs) < b.size {
 			b.mu.Unlock()
 			return nil
 		}
@@ -156,13 +183,20 @@ func (b *Batch) Handle(ctx context.Context, req *Request, next Handler) error {
 		return err
 	}
 	req.buffered = true
+	if !req.encrypted {
+		// The payload is still the caller's plaintext; buffer a copy. The
+		// copies of one group share an array that is never reused, since
+		// the orderer keeps the payloads it is handed.
+		b.plain, req.Payload = appendCopy(b.plain, req.Payload, b.size)
+		req.borrowed = false
+	}
 	b.pending = append(b.pending, req)
 	if len(b.pending) < b.size {
 		b.mu.Unlock()
 		return nil
 	}
 	group := b.pending
-	b.pending = nil
+	b.pending, b.plain = nil, nil
 	b.mu.Unlock()
 	return b.release(ctx, group, next, req)
 }
@@ -178,7 +212,7 @@ func (b *Batch) Flush(ctx context.Context) error {
 	next := b.next
 	if b.enc != nil {
 		groups := b.groups
-		b.groups = make(map[*channelKey][]*Request)
+		b.groups = make(map[*channelKey]*groupBucket)
 		b.mu.Unlock()
 		if len(groups) == 0 {
 			return nil
@@ -196,7 +230,7 @@ func (b *Batch) Flush(ctx context.Context) error {
 		return errors.Join(errs...)
 	}
 	group := b.pending
-	b.pending = nil
+	b.pending, b.plain = nil, nil
 	b.mu.Unlock()
 	if len(group) == 0 {
 		return nil
@@ -214,7 +248,7 @@ func (b *Batch) Pending() int {
 	defer b.mu.Unlock()
 	n := len(b.pending)
 	for _, g := range b.groups {
-		n += len(g)
+		n += len(g.reqs)
 	}
 	return n
 }
@@ -275,23 +309,12 @@ func (b *Batch) release(ctx context.Context, group []*Request, next Handler, flu
 // resolves with the group's outcome, and every member's trace gets a
 // "batch.release" span whose exclusive time is its amortized share of the
 // release. Cancellation detaching and error wrapping mirror release.
-func (b *Batch) releaseGroup(ctx context.Context, ck *channelKey, group []*Request, next Handler, flusher *Request) error {
+func (b *Batch) releaseGroup(ctx context.Context, ck *channelKey, g *groupBucket, next Handler, flusher *Request) error {
 	ctx = context.WithoutCancel(ctx)
 	start := time.Now()
-	pp := groupPayloadsPool.Get().(*[][]byte)
-	payloads := (*pp)[:0]
-	for _, r := range group {
-		payloads = append(payloads, r.Payload)
-	}
+	group := g.reqs
 	channel := group[0].Channel
-	sealed, err := b.enc.sealGroup(ck, channel, payloads)
-	// The seal consumed the payload views; scrub them before pooling so the
-	// scratch does not pin member payload buffers until its next use.
-	for i := range payloads {
-		payloads[i] = nil
-	}
-	*pp = payloads
-	groupPayloadsPool.Put(pp)
+	sealed, err := b.enc.sealGroup(ck, channel, g.payloads)
 	relErr := err
 	if relErr == nil {
 		val := b.fullMeta

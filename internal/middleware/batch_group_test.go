@@ -453,3 +453,97 @@ func TestSubmitAsyncGroupShareFate(t *testing.T) {
 		}
 	}
 }
+
+// TestServeWireOwnsRetainedPayloads drives ServeWire the way the TCP edge
+// does: every request is decoded from one reused read buffer that the next
+// frame overwrites. The batch stage acknowledges a request before its group
+// is released, and the orderer keeps what it is handed, so the gateway must
+// copy a plaintext payload it keeps; the committed transactions then carry
+// every submission's own bytes.
+func TestServeWireOwnsRetainedPayloads(t *testing.T) {
+	const n = 12 // one full group of 8, then 4 released by Flush
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		grouped bool
+	}{
+		{"groupseal", groupCfg(8, CodecBinary), true},
+		{"plain-batch", Config{
+			Stages: []StageConfig{
+				{Name: StageAuthn},
+				{Name: StageBatch, Params: map[string]string{"size": "8"}},
+			},
+			Codec: CodecBinary,
+		}, false},
+		{"unbatched", Config{
+			Stages: []StageConfig{{Name: StageAuthn}},
+			Codec:  CodecBinary,
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ca, ps := enroll(t, "alice", "bob")
+			dir := StaticDirectory{"deals": {
+				"alice": ps["alice"].key.Public(),
+				"bob":   ps["bob"].key.Public(),
+			}}
+			backend := ordering.New("op", ordering.VisibilityEnvelope)
+			var committed [][]byte
+			backend.Subscribe("deals", func(b ledger.Block) error {
+				for _, tx := range b.Txs {
+					committed = append(committed, tx.Payload)
+				}
+				return nil
+			})
+			gw, err := NewGateway("gw", tc.cfg, Env{CAKey: ca.PublicKey(), Directory: dir}, backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			var want [][]byte
+			var buf []byte
+			for i := 0; i < n; i++ {
+				p := []byte(fmt.Sprintf("trade-%02d", i))
+				want = append(want, p)
+				wire, err := EncodeWireRequest(signedRequest(t, ps["alice"], "deals", p), CodecBinary)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf = append(buf[:0], wire...)
+				if _, err := gw.ServeWire(ctx, TopicSubmit, buf, "conn-1"); err != nil {
+					t.Fatalf("submit %d: %v", i, err)
+				}
+				// The edge reads the next frame into the same buffer.
+				for j := range buf {
+					buf[j] = 0xff
+				}
+			}
+			if err := gw.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			var got [][]byte
+			for _, payload := range committed {
+				if !tc.grouped {
+					got = append(got, payload)
+					continue
+				}
+				genv, err := ParseGroupEnvelope(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				segs, err := OpenGroupEnvelope(genv, "bob", ps["bob"].key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, segs...)
+			}
+			if len(got) != n {
+				t.Fatalf("committed %d members, want %d", len(got), n)
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Errorf("member %d carries %q, want %q", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}

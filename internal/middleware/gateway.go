@@ -1,6 +1,7 @@
 package middleware
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -359,10 +360,16 @@ func (g *Gateway) order(ctx context.Context, req *Request) error {
 		}
 		meta["gateway"] = g.name
 	}
+	payload := req.Payload
+	if req.borrowed && !req.encrypted {
+		// The orderer keeps the payload; an encrypted one is a fresh
+		// envelope, a borrowed plaintext is the caller's reused buffer.
+		payload = bytes.Clone(payload)
+	}
 	tx := ledger.Transaction{
 		Channel:   req.Channel,
 		Creator:   req.Principal,
-		Payload:   req.Payload,
+		Payload:   payload,
 		Meta:      meta,
 		Timestamp: g.now(),
 	}
@@ -767,6 +774,9 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 			Meta:         w.Meta,
 			TraceID:      w.TraceID,
 			TransportID:  transportID,
+			// The binary decode views payload; JSON decodes into fresh
+			// memory.
+			borrowed: isBinaryFrame(payload),
 		}
 		if w.Cert != nil {
 			req.Cert = *w.Cert

@@ -142,6 +142,11 @@ type Request struct {
 	// annotate and hand it to the ledger transaction directly instead of
 	// defensively copying a caller-owned map.
 	metaOwned bool
+	// borrowed marks a payload that aliases memory its caller reuses once
+	// Submit returns (ServeWire's binary decode views the edge's read
+	// buffer). The terminal handler copies a borrowed payload that is still
+	// plaintext; the batch stage copies every plaintext it buffers.
+	borrowed bool
 	// done resolves the request's completion future (SubmitAsync): whoever
 	// delivers the request — the batch stage at release, or SubmitAsync
 	// itself when no stage buffers it — sends the delivery error (nil on

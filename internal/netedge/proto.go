@@ -107,6 +107,11 @@ func parseFrame(b []byte) (frame, error) {
 func readFrame(br *bufio.Reader, buf []byte, maxFrame int) (frame, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			// The stream ended inside a length prefix: a truncated frame,
+			// like a body cut short. A clean io.EOF is the end of stream.
+			err = fmt.Errorf("%w: truncated length prefix", ErrBadFrame)
+		}
 		return frame{}, buf, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:]))

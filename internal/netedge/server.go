@@ -17,9 +17,10 @@ import (
 // Gateway satisfies with ServeWire. transportID is the serving
 // connection's unique identity, the value session binding pins tokens to.
 // The payload slice aliases the connection's read buffer and is only valid
-// until ServeWire returns; implementations must not retain it (the
-// gateway's encrypt stage replaces the payload before any holding stage
-// buffers a request, so the shipped pipelines satisfy this for free).
+// until ServeWire returns: the next frame overwrites it. An implementation
+// that keeps any of it must copy it. The middleware gateway does: its batch
+// stage copies each payload it buffers, and its terminal handler copies a
+// plaintext payload before the orderer keeps it.
 type Handler interface {
 	ServeWire(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error)
 }
