@@ -65,7 +65,7 @@ func benchShardFailover(b *testing.B, nShards int) {
 			Timestamp: time.Unix(1700000000, 0).UTC(),
 		}
 	}
-	// Prime every channel so each cluster has a leader and a committed log
+	// Prime every channel so each cluster has a leader and a committed head
 	// before the first kill.
 	for i, ch := range channels {
 		if err := sb.Submit(mkTx(ch, -i-1)); err != nil {
@@ -98,5 +98,46 @@ func benchShardFailover(b *testing.B, nShards int) {
 	b.StopTimer()
 	if got, want := delivered.Load(), uint64(b.N+nShards); got != want {
 		b.Fatalf("delivered %d txs, want %d", got, want)
+	}
+}
+
+// BenchmarkClusterRestart prices bringing a crashed replica back after a
+// long history: 50,000 blocks are committed before the timer starts, and
+// each iteration crashes a follower and restarts it. A replica catches up
+// by copying the leader's chain head, so the cost must not grow with the
+// history; the CI benchmark gate holds B/op at zero with a bytes ceiling.
+func BenchmarkClusterRestart(b *testing.B) {
+	c, err := ordering.NewCluster("restart-ch", []string{"rs-op-0", "rs-op-1", "rs-op-2"}, ordering.VisibilityEnvelope)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.Subscribe(func(ledger.Block) error { return nil })
+	const history = 50000
+	for i := 0; i < history; i++ {
+		tx := ledger.Transaction{
+			Channel:   "restart-ch",
+			Creator:   "bench",
+			Payload:   []byte("restart"),
+			Writes:    []ledger.Write{{Key: fmt.Sprintf("k-%d", i), Value: []byte("v")}},
+			Timestamp: time.Unix(1700000000, 0).UTC(),
+		}
+		if err := c.Submit(tx); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Crash("rs-op-2"); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Restart("rs-op-2"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n, err := c.CommittedBlocks("rs-op-2"); err != nil || n != history {
+		b.Fatalf("restarted replica committed %d blocks (%v), want %d", n, err, history)
 	}
 }

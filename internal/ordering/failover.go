@@ -17,8 +17,8 @@ import (
 // queue behind one Elect instead of stampeding — after which queued
 // in-flight transactions are replayed in order and the submission retried.
 // Per-channel delivery order is preserved across the kill: the new leader
-// resumes from the quorum-committed log, and the replay flush sequences
-// anything that was queued before any post-failover traffic.
+// resumes from the quorum-committed chain head, and the replay flush
+// sequences anything that was queued before any post-failover traffic.
 //
 // Behind a ShardedBackend this turns "one shard death loses 1/N of all
 // channels forever" into an availability dip bounded by one election.
@@ -232,9 +232,9 @@ func (rs *ReplicatedShard) Kill() {
 }
 
 // Revive restarts every node of every cluster and elects a leader per
-// cluster; the committed logs survived the crash (crash-fault model, not
-// disk loss), so chains resume at their pre-kill heights and any queued
-// transactions are replayed.
+// cluster; each node's committed head survived the crash (crash-fault
+// model, not disk loss), so chains resume at their pre-kill heights and
+// any queued transactions are replayed.
 func (rs *ReplicatedShard) Revive() {
 	for _, fc := range rs.snapshot() {
 		for _, op := range rs.operators {

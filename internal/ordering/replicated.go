@@ -13,9 +13,10 @@ import (
 // third-party orderer, channel members run a replicated, crash-fault-
 // tolerant ordering cluster themselves. The cluster is leader-based with
 // majority-quorum commit (a deliberately simplified Raft: terms, leader
-// election by majority vote, log replication, commit on quorum
-// acknowledgement). Fault injection in tests covers leader crash, failover,
-// and the minority-partition liveness loss.
+// election by majority vote, commit on quorum acknowledgement). Replicas
+// keep the committed chain head, not the blocks, which subscribers hold.
+// Fault injection in tests covers leader crash, failover, and the
+// minority-partition liveness loss.
 
 // Errors returned by the replicated ordering service.
 var (
@@ -40,23 +41,18 @@ var (
 	ErrQueuedAwaitingLeader = errors.New("ordering: transaction queued awaiting a sequencing leader")
 )
 
-// logEntry is one replicated ordering decision.
-type logEntry struct {
-	term  uint64
-	block ledger.Block
-}
-
-// clusterNode is one member-operated ordering node.
+// clusterNode is one member-operated ordering node. It keeps the head of
+// the chain it has committed, not the blocks: committed blocks belong to
+// subscribers, and an election or a catch-up reads only the height, the
+// head hash and the term. Guarded by the owning Cluster's mu.
 type clusterNode struct {
 	operator string
-
-	mu       sync.Mutex
 	down     bool
 	term     uint64
-	isLeader bool
-	log      []logEntry
-	// committed is the index below which entries are quorum-committed.
-	committed int
+	// height is the number of blocks this node has committed on the
+	// channel; head is the hash of the last of them.
+	height uint64
+	head   [32]byte
 }
 
 // Cluster is a member-run replicated ordering service for one channel
@@ -68,6 +64,7 @@ type Cluster struct {
 	visibility Visibility
 	log        *audit.Log
 
+	// mu guards the fields below and every node's state.
 	mu       sync.Mutex
 	nodes    []*clusterNode
 	leader   int // index into nodes, -1 when none
@@ -76,13 +73,6 @@ type Cluster struct {
 	pending  []ledger.Transaction
 	batch    int
 	subs     []DeliverFunc
-	// base/baseHash anchor the chain when the cluster adopted state from
-	// another shard (channel migration): the replicated log starts empty
-	// here, so elections re-derive height as base + committed entries and
-	// fall back to baseHash when the log holds nothing yet. Zero for
-	// clusters that started the chain themselves.
-	base     uint64
-	baseHash [32]byte
 
 	// deliver serializes replication + delivery so subscribers receive
 	// blocks in height order under concurrent submitters (see
@@ -106,7 +96,6 @@ func NewCluster(channel string, operators []string, visibility Visibility, opts 
 	for _, op := range operators {
 		c.nodes = append(c.nodes, &clusterNode{operator: op})
 	}
-	c.nodes[0].isLeader = true
 	c.nodes[0].term = 1
 	for _, opt := range opts {
 		opt(c)
@@ -156,20 +145,16 @@ func (c *Cluster) Crash(operator string) error {
 	if idx < 0 {
 		return fmt.Errorf("ordering: unknown node %q", operator)
 	}
-	node := c.nodes[idx]
-	node.mu.Lock()
-	node.down = true
-	wasLeader := node.isLeader
-	node.isLeader = false
-	node.mu.Unlock()
-	if wasLeader {
+	c.nodes[idx].down = true
+	if idx == c.leader {
 		c.leader = -1
 	}
 	return nil
 }
 
-// Restart brings a crashed node back as a follower; it catches up from the
-// current leader's committed log.
+// Restart brings a crashed node back as a follower; it catches up to the
+// current leader's head. With no leader it keeps the head it committed
+// before the crash, and the next commit moves it forward.
 func (c *Cluster) Restart(operator string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -178,10 +163,7 @@ func (c *Cluster) Restart(operator string) error {
 		return fmt.Errorf("ordering: unknown node %q", operator)
 	}
 	node := c.nodes[idx]
-	node.mu.Lock()
 	node.down = false
-	node.isLeader = false
-	node.mu.Unlock()
 	if c.leader >= 0 {
 		c.catchUpLocked(node)
 	}
@@ -197,66 +179,51 @@ func (c *Cluster) indexOf(operator string) int {
 	return -1
 }
 
-// Elect runs a leader election: the first live node with the longest
-// committed log that can gather a majority of live votes becomes leader at
-// a new term. Returns the new leader's operator.
+// Elect runs a leader election: the first live node with the highest
+// committed head that can gather a majority of live votes becomes leader
+// at a new term, and ordering resumes from its head. Returns the new
+// leader's operator.
 func (c *Cluster) Elect() (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	live := 0
-	for _, n := range c.nodes {
-		n.mu.Lock()
-		if !n.down {
-			live++
-		}
-		n.mu.Unlock()
-	}
-	if live < len(c.nodes)/2+1 {
-		c.leader = -1
+	c.leader = -1
+	if live := c.liveLocked(); live < len(c.nodes)/2+1 {
 		return "", fmt.Errorf("%w: %d of %d nodes live", ErrNoQuorum, live, len(c.nodes))
 	}
-	// Candidate choice: live node with the longest committed log (Raft's
-	// up-to-date restriction), ties broken by node order.
+	// Candidate choice: the live node with the highest committed head
+	// (Raft's up-to-date restriction), ties broken by node order. A live
+	// majority overlaps the majority that was live at the last commit, and
+	// every commit moves each live node to the new head, so the winner
+	// holds the latest committed head.
 	best := -1
-	bestLen := -1
 	var maxTerm uint64
 	for i, n := range c.nodes {
-		n.mu.Lock()
-		if n.term > maxTerm {
-			maxTerm = n.term
-		}
-		if !n.down && n.committed > bestLen {
+		maxTerm = max(maxTerm, n.term)
+		if !n.down && (best < 0 || n.height > c.nodes[best].height) {
 			best = i
-			bestLen = n.committed
 		}
-		n.mu.Unlock()
 	}
-	if best < 0 {
-		c.leader = -1
-		return "", ErrNoLeader
-	}
-	newTerm := maxTerm + 1
-	for i, n := range c.nodes {
-		n.mu.Lock()
-		n.isLeader = i == best
+	for _, n := range c.nodes {
 		if !n.down {
-			n.term = newTerm
+			n.term = maxTerm + 1
 		}
-		n.mu.Unlock()
 	}
 	c.leader = best
 	leader := c.nodes[best]
-	// Re-derive chain state from the leader's committed log, so ordering
-	// resumes exactly where the quorum left off.
-	leader.mu.Lock()
-	c.height = c.base + uint64(leader.committed)
-	if leader.committed > 0 {
-		c.lastHash = leader.log[leader.committed-1].block.Hash()
-	} else {
-		c.lastHash = c.baseHash
-	}
-	leader.mu.Unlock()
+	c.height = leader.height
+	c.lastHash = leader.head
 	return leader.operator, nil
+}
+
+// liveLocked counts the nodes that are up. Caller holds c.mu.
+func (c *Cluster) liveLocked() int {
+	live := 0
+	for _, n := range c.nodes {
+		if !n.down {
+			live++
+		}
+	}
+	return live
 }
 
 // Submit queues a transaction with the current leader.
@@ -266,15 +233,6 @@ func (c *Cluster) Submit(tx ledger.Transaction) error {
 	}
 	c.mu.Lock()
 	if c.leader < 0 {
-		c.mu.Unlock()
-		return ErrNoLeader
-	}
-	leaderNode := c.nodes[c.leader]
-	leaderNode.mu.Lock()
-	downLeader := leaderNode.down
-	leaderNode.mu.Unlock()
-	if downLeader {
-		c.leader = -1
 		c.mu.Unlock()
 		return ErrNoLeader
 	}
@@ -341,14 +299,15 @@ func (c *Cluster) exportState() ChannelState {
 }
 
 // adoptState seeds a freshly constructed cluster with chain state imported
-// from another shard. Block numbering and hash chaining continue from the
-// imported height — including across later elections, which re-derive
-// height as base + committed log entries.
+// from another shard: every node starts at the imported head, so block
+// numbering and hash chaining continue from it across later elections too.
 func (c *Cluster) adoptState(st ChannelState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.base = st.Height
-	c.baseHash = st.LastHash
+	for _, n := range c.nodes {
+		n.height = st.Height
+		n.head = st.LastHash
+	}
 	c.height = st.Height
 	c.lastHash = st.LastHash
 	c.pending = append([]ledger.Transaction(nil), st.Pending...)
@@ -357,24 +316,21 @@ func (c *Cluster) adoptState(st ChannelState) {
 func (c *Cluster) observeLocked(tx ledger.Transaction) {
 	id := tx.ID()
 	for _, n := range c.nodes {
-		n.mu.Lock()
-		down := n.down
-		op := n.operator
-		n.mu.Unlock()
-		if down {
+		if n.down {
 			continue
 		}
-		c.log.Record(op, audit.ClassTxMetadata, id)
+		c.log.Record(n.operator, audit.ClassTxMetadata, id)
 		if c.visibility == VisibilityFull {
-			c.log.Record(op, audit.ClassTxData, id)
-			c.log.Record(op, audit.ClassIdentity, tx.Creator)
+			c.log.Record(n.operator, audit.ClassTxData, id)
+			c.log.Record(n.operator, audit.ClassIdentity, tx.Creator)
 		}
 	}
 }
 
-// Flush orders pending transactions: the leader appends to its log,
-// replicates to followers, commits on majority acknowledgement, and only
-// then delivers to subscribers.
+// Flush orders pending transactions: with a live majority to acknowledge
+// it, the leader cuts the next block, every live node commits it as its
+// new head, and only then is it delivered to subscribers. Without a
+// majority nothing is cut and the transactions stay queued.
 func (c *Cluster) Flush() error {
 	c.deliver.Lock()
 	defer c.deliver.Unlock()
@@ -387,54 +343,21 @@ func (c *Cluster) Flush() error {
 		c.mu.Unlock()
 		return nil
 	}
-	txs := c.pending
-	c.pending = nil
-	leader := c.nodes[c.leader]
-	block := ledger.NewBlock(c.height, c.lastHash, txs)
-
-	leader.mu.Lock()
-	term := leader.term
-	entry := logEntry{term: term, block: block}
-	leader.log = append(leader.log, entry)
-	leader.mu.Unlock()
-
-	// Replicate: count acknowledgements from live followers.
-	acks := 1 // leader
-	for i, n := range c.nodes {
-		if i == c.leader {
-			continue
-		}
-		n.mu.Lock()
-		if !n.down {
-			n.log = append(n.log, entry)
-			acks++
-		}
-		n.mu.Unlock()
-	}
-	quorum := len(c.nodes)/2 + 1
-	if acks < quorum {
-		// Roll the entry back everywhere; the block is not committed.
-		for _, n := range c.nodes {
-			n.mu.Lock()
-			if len(n.log) > 0 && n.log[len(n.log)-1].block.Number == block.Number && n.log[len(n.log)-1].term == term {
-				n.log = n.log[:len(n.log)-1]
-			}
-			n.mu.Unlock()
-		}
-		c.pending = append(txs, c.pending...)
+	// Every live node acknowledges replication.
+	if acks, quorum := c.liveLocked(), len(c.nodes)/2+1; acks < quorum {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %d of %d acks", ErrNoQuorum, acks, quorum)
 	}
-	// Commit on every live node.
-	for _, n := range c.nodes {
-		n.mu.Lock()
-		if !n.down && len(n.log) > n.committed {
-			n.committed = len(n.log)
-		}
-		n.mu.Unlock()
-	}
+	block := ledger.NewBlock(c.height, c.lastHash, c.pending)
+	c.pending = nil
 	c.height++
 	c.lastHash = block.Hash()
+	for _, n := range c.nodes {
+		if !n.down {
+			n.height = c.height
+			n.head = c.lastHash
+		}
+	}
 	subs := append([]DeliverFunc(nil), c.subs...)
 	c.mu.Unlock()
 
@@ -446,38 +369,30 @@ func (c *Cluster) Flush() error {
 	return nil
 }
 
-// catchUpLocked copies the leader's committed log onto a restarted node.
+// catchUpLocked moves a restarted node to the leader's head and term.
 // Caller holds c.mu.
 func (c *Cluster) catchUpLocked(node *clusterNode) {
 	leader := c.nodes[c.leader]
-	leader.mu.Lock()
-	entries := make([]logEntry, leader.committed)
-	copy(entries, leader.log[:leader.committed])
-	term := leader.term
-	leader.mu.Unlock()
-	node.mu.Lock()
-	node.log = entries
-	node.committed = len(entries)
-	node.term = term
-	node.mu.Unlock()
+	node.height = leader.height
+	node.head = leader.head
+	node.term = leader.term
 }
 
-// CommittedBlocks returns the committed block count on one node, letting
-// tests verify replication.
+// CommittedBlocks returns the chain height one node has committed — the
+// channel's block count, including blocks imported by a channel migration
+// — letting tests verify replication.
 func (c *Cluster) CommittedBlocks(operator string) (int, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	idx := c.indexOf(operator)
-	c.mu.Unlock()
 	if idx < 0 {
 		return 0, fmt.Errorf("ordering: unknown node %q", operator)
 	}
 	n := c.nodes[idx]
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.down {
 		return 0, ErrNodeDown
 	}
-	return n.committed, nil
+	return int(n.height), nil
 }
 
 // LiveNodes returns the operators of nodes currently up.
@@ -486,11 +401,9 @@ func (c *Cluster) LiveNodes() []string {
 	defer c.mu.Unlock()
 	var out []string
 	for _, n := range c.nodes {
-		n.mu.Lock()
 		if !n.down {
 			out = append(out, n.operator)
 		}
-		n.mu.Unlock()
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package ordering
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dltprivacy/internal/audit"
@@ -176,16 +177,15 @@ func TestElectionPrefersLongestLog(t *testing.T) {
 	if err := c.Crash("BankA"); err != nil {
 		t.Fatalf("Crash: %v", err)
 	}
-	idx := c.indexOf("BuyerInc")
-	c.nodes[idx].mu.Lock()
-	c.nodes[idx].down = false
-	c.nodes[idx].mu.Unlock()
+	if err := c.Restart("BuyerInc"); err != nil {
+		t.Fatalf("Restart: %v", err)
+	}
 	leader, err := c.Elect()
 	if err != nil {
 		t.Fatalf("Elect: %v", err)
 	}
 	if leader != "SellerCo" {
-		t.Fatalf("leader = %q, want SellerCo (longest committed log)", leader)
+		t.Fatalf("leader = %q, want SellerCo (highest committed head)", leader)
 	}
 }
 
@@ -243,5 +243,103 @@ func TestClusterRejectsInvalidTx(t *testing.T) {
 	c, _ := newCluster(t)
 	if err := c.Submit(ledger.Transaction{Creator: "x"}); err == nil {
 		t.Fatal("invalid tx must be rejected")
+	}
+}
+
+// TestStaleReplicaCannotReissueHeight replays a crash schedule in which a
+// replica restarts while the cluster has no leader, so it cannot catch up
+// on restart. Every commit it is live for must still move it to the new
+// head: otherwise a later election could pick a replica that is behind and
+// re-issue a committed height, forking the chain.
+func TestStaleReplicaCannotReissueHeight(t *testing.T) {
+	c, l := newCluster(t)
+	step := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	step("crash SellerCo", c.Crash("SellerCo"))
+	for i := 0; i < 3; i++ {
+		step("submit", c.Submit(mkTx("trade", "BankA", fmt.Sprintf("k%d", i))))
+	}
+	step("crash BankA", c.Crash("BankA"))
+	step("restart SellerCo", c.Restart("SellerCo"))
+	_, err := c.Elect()
+	step("first elect", err)
+	step("submit", c.Submit(mkTx("trade", "BuyerInc", "k3")))
+	step("crash BuyerInc", c.Crash("BuyerInc"))
+	step("restart BankA", c.Restart("BankA"))
+	leader, err := c.Elect()
+	step("second elect", err)
+	if leader != "SellerCo" {
+		t.Fatalf("leader = %q, want SellerCo (the only live replica at height 4)", leader)
+	}
+	step("submit after second election", c.Submit(mkTx("trade", "SellerCo", "k4")))
+	if l.Height() != 5 {
+		t.Fatalf("ledger height = %d, want 5", l.Height())
+	}
+	step("verify chain", l.VerifyChain())
+	for _, op := range []string{"BankA", "SellerCo"} {
+		n, err := c.CommittedBlocks(op)
+		if err != nil || n != 5 {
+			t.Fatalf("node %s committed = %d, %v; want 5", op, n, err)
+		}
+	}
+}
+
+// commitDiscarding commits n single-transaction blocks through a cluster
+// whose only subscriber drops every block.
+func commitDiscarding(t testing.TB, n, payloadSize int) *Cluster {
+	t.Helper()
+	c, err := NewCluster("trade", clusterOps, VisibilityEnvelope)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	c.Subscribe(func(ledger.Block) error { return nil })
+	for i := 0; i < n; i++ {
+		tx := mkTx("trade", "BankA", fmt.Sprintf("k%d", i))
+		tx.Payload = make([]byte, payloadSize)
+		if err := c.Submit(tx); err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+	}
+	return c
+}
+
+func TestClusterRestartAllocatesNothing(t *testing.T) {
+	c := commitDiscarding(t, 10000, 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := c.Crash("BuyerInc"); err != nil {
+			t.Fatalf("Crash: %v", err)
+		}
+		if err := c.Restart("BuyerInc"); err != nil {
+			t.Fatalf("Restart: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("crash+restart after 10000 commits allocates %.0f times, want 0", allocs)
+	}
+	if n, err := c.CommittedBlocks("BuyerInc"); err != nil || n != 10000 {
+		t.Fatalf("restarted node committed = %d, %v; want 10000", n, err)
+	}
+}
+
+// TestClusterRetainsNoBlocks holds the cluster's memory to its chain head:
+// committed blocks belong to subscribers, so committing more of them must
+// not grow the live heap.
+func TestClusterRetainsNoBlocks(t *testing.T) {
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	c := commitDiscarding(t, 20000, 1024)
+	after := liveHeap()
+	runtime.KeepAlive(c)
+	if after > before && after-before >= 1<<20 {
+		t.Fatalf("live heap grew %d B over 20000 committed 1 KiB blocks, want < 1 MiB", after-before)
 	}
 }
