@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dltprivacy/internal/audit"
+	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/middleware"
 	"dltprivacy/internal/ordering"
 	"dltprivacy/internal/pki"
@@ -112,5 +113,82 @@ func benchGatewaySession(b *testing.B, env *gatewayBenchEnv, stages []middleware
 	b.StopTimer()
 	if stats := gw.Stats(); stats.Ordered != uint64(b.N) || sink.txs != b.N {
 		b.Fatalf("ordered %d, backend committed %d, want %d", stats.Ordered, sink.txs, b.N)
+	}
+}
+
+// BenchmarkSessionOpen prices the signed handshake behind session.open on a
+// gateway-built session manager:
+//
+//   - cert=cold: every open presents a certificate the gateway has never
+//     seen, paying two ECDSA verifies (the CA signature and the hello).
+//   - cert=warm: one certificate reopened; the CA signature was verified
+//     at its first open, so each open pays only the hello verify.
+//
+// Hellos (and, for cold, certificates) are signed before the timer starts;
+// each session is closed again inside the loop so the table stays flat.
+func BenchmarkSessionOpen(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		cold bool
+	}{{"cert=cold", true}, {"cert=warm", false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			benchSessionOpen(b, tc.cold)
+		})
+	}
+}
+
+func benchSessionOpen(b *testing.B, cold bool) {
+	ca, err := pki.NewCA("bench-ca")
+	if err != nil {
+		b.Fatal(err)
+	}
+	gw, err := middleware.NewGateway("bench-gw", middleware.Config{Stages: []middleware.StageConfig{
+		{Name: middleware.StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h"}},
+		{Name: middleware.StageAuthn},
+	}}, middleware.Env{CAKey: ca.PublicKey(), Log: audit.NewLog()},
+		ordering.New("bench-orderer", ordering.VisibilityEnvelope))
+	if err != nil {
+		b.Fatal(err)
+	}
+	mgr := gw.Sessions()
+	enroll := func() (pki.Certificate, *dcrypto.PrivateKey) {
+		key, err := dcrypto.GenerateKey()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cert, err := ca.Enroll("bench-principal", key.Public())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return cert, key
+	}
+	cert, key := enroll()
+	hellos := make([]middleware.SessionHello, b.N)
+	for i := range hellos {
+		if cold {
+			cert, key = enroll()
+		}
+		if hellos[i], err = middleware.NewSessionHello("bench-principal", cert, key); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if !cold {
+		// Warm the verifier with the one certificate.
+		warm, err := middleware.NewSessionHello("bench-principal", cert, key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := mgr.Open(warm); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range hellos {
+		grant, err := mgr.OpenBound(hellos[i], "bench-conn")
+		if err != nil {
+			b.Fatal(err)
+		}
+		mgr.Close(grant.Token)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"dltprivacy/internal/audit"
 	"dltprivacy/internal/dcrypto"
 	"dltprivacy/internal/paillier"
+	"dltprivacy/internal/pki"
 	"dltprivacy/internal/zkp"
 )
 
@@ -156,6 +157,11 @@ type Env struct {
 	// Aggregator is the collector's Paillier public key (aggregate
 	// stage): submissions are homomorphically combined under it.
 	Aggregator *paillier.PublicKey
+
+	// certs is the chain's one certificate verifier, pinned to CAKey:
+	// Build creates it, and the session manager and authn stage share it,
+	// so a certificate verified by either is not verified again.
+	certs *pki.CertVerifier
 }
 
 // params is the shared, registry-level parameter validator every stage
@@ -233,6 +239,9 @@ func (p *params) enum(key, def string, allowed ...string) string {
 func (c Config) Build(env Env, terminal Handler) (*Chain, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
+	}
+	if !env.CAKey.IsZero() {
+		env.certs = pki.NewCertVerifier(env.CAKey)
 	}
 	stages := make([]Stage, 0, len(c.Stages))
 	for _, sc := range c.Stages {

@@ -127,12 +127,20 @@
 // # Session lifecycle
 //
 // A client opens a session with a signed SessionHello: the SessionManager
-// performs the full authn verification — certificate chains to the pinned
-// CA key, identity matches, handshake signature verifies — exactly once,
+// performs the full authn verification — identity matches, certificate
+// chains to the pinned CA key, handshake signature verifies — exactly once,
 // and returns an unguessable token plus expiry. The hello signature covers
 // a nonce and issue time; stale hellos are rejected (ErrStaleHello) and
 // nonces are remembered across the freshness window (ErrReplayedHello), so
-// a recorded handshake cannot be replayed to mint tokens. Subsequent submissions
+// a recorded handshake cannot be replayed to mint tokens. The stale,
+// identity and replay checks run before any ECDSA verify. The CA check
+// goes through a pki.CertVerifier that Config.Build creates once per chain
+// and shares between the session manager and the authn stage: it
+// remembers the certificates it verified (keyed by a digest of the exact
+// signed bytes, capped), so only the first open under a certificate pays
+// the CA signature verify and later opens pay just the hello verify.
+// Revocation and the validity window are still checked on every open.
+// Subsequent submissions
 // carry the token and a per-request signature over the request digest; the
 // session stage binds them to the cached verified principal without
 // touching the certificate again. Requests without a token pass through to
@@ -162,6 +170,10 @@
 // MAC on every request already guard. Sessions opened through Open (the
 // in-process transport path) stay unbound and resolve from anywhere,
 // preserving every pre-edge caller.
+//
+// session.close is bound the same way: a token bound to another
+// connection is refused with ErrSessionBound (CloseBound) and the session
+// stays live for its own connection.
 //
 // Binding also gives connection teardown exact semantics: the manager
 // indexes bound tokens per transport (byTransport), so EvictTransport —

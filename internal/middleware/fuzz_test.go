@@ -265,3 +265,88 @@ func mustHello(f *testing.F, principal string, cert pki.Certificate, key *dcrypt
 	}
 	return hello
 }
+
+// FuzzSessionOpen throws arbitrary bytes at the handshake decoder
+// (session.open over a connection-bound transport). No input may panic the
+// gateway, and every grant it hands out must belong to a hello whose
+// certificate chains to the CA and whose signature verifies against that
+// certificate — checked here by the uncached pki.VerifyCertificate, so a
+// memo that accepted bytes the CA never signed would be caught.
+func FuzzSessionOpen(f *testing.F) {
+	ca, err := pki.NewCA("fuzz-ca")
+	if err != nil {
+		f.Fatal(err)
+	}
+	key, err := dcrypto.GenerateKey()
+	if err != nil {
+		f.Fatal(err)
+	}
+	cert, err := ca.Enroll("alice", key.Public())
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg := Config{Stages: []StageConfig{
+		{Name: StageSession, Params: map[string]string{"ttl": "1h", "idle": "1h", "reqauth": "mac"}},
+		{Name: StageAuthn},
+	}}
+	env := Env{CAKey: ca.PublicKey(), Log: audit.NewLog()}
+	gw, err := NewGateway("fuzz-open-gw", cfg, env, ordering.New("op", ordering.VisibilityEnvelope))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Warm the verifier with the genuine certificate, so mutated copies of
+	// it probe the cached path.
+	if _, err := gw.Sessions().Open(mustHello(f, "alice", cert, key)); err != nil {
+		f.Fatal(err)
+	}
+
+	seed := func(h SessionHello) []byte {
+		b, err := json.Marshal(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	valid := seed(mustHello(f, "alice", cert, key))
+	f.Add(valid)
+	f.Add(seed(mustHello(f, "alice", cert, key)))
+	nullSig := mustHello(f, "alice", cert, key)
+	nullSig.Sig = dcrypto.Signature{}
+	f.Add(seed(nullSig))
+	nullCertSig := mustHello(f, "alice", cert, key)
+	nullCertSig.Cert.Sig = dcrypto.Signature{}
+	f.Add(seed(nullCertSig))
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:len(valid)-1])
+	f.Add([]byte(`{"principal":"alice","cert":{"identity":"alice","sig":{"R":-1,"S":1}}}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reply, err := gw.ServeWire(context.Background(), TopicSessionOpen, data, "fuzz")
+		if err != nil {
+			return
+		}
+		var hello SessionHello
+		if err := json.Unmarshal(data, &hello); err != nil {
+			t.Fatalf("granted a session for an undecodable hello: %v", err)
+		}
+		var grant SessionGrant
+		if err := json.Unmarshal(reply, &grant); err != nil {
+			t.Fatalf("undecodable grant: %v", err)
+		}
+		if grant.Principal != hello.Principal || hello.Cert.Identity != hello.Principal {
+			t.Fatalf("grant for %q from a hello by %q under a cert for %q",
+				grant.Principal, hello.Principal, hello.Cert.Identity)
+		}
+		if err := pki.VerifyCertificate(hello.Cert, ca.PublicKey(), time.Now()); err != nil {
+			t.Fatalf("granted a session under a certificate the CA did not sign: %v", err)
+		}
+		certKey, err := hello.Cert.Key()
+		if err != nil {
+			t.Fatalf("granted a session under an unparseable key: %v", err)
+		}
+		d := helloDigest(hello.Principal, hello.Nonce, hello.IssuedAt)
+		if err := certKey.Verify(d[:], hello.Sig); err != nil {
+			t.Fatalf("granted a session for a hello whose signature does not verify: %v", err)
+		}
+	})
+}

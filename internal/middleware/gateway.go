@@ -25,7 +25,8 @@ const (
 	// TopicSessionOpen carries a signed SessionHello; the reply is a
 	// marshalled SessionGrant.
 	TopicSessionOpen = "session.open"
-	// TopicSessionClose carries a session token to end.
+	// TopicSessionClose carries a session token to end; a token bound to
+	// another connection is refused with ErrSessionBound.
 	TopicSessionClose = "session.close"
 	// TopicRevocationNotify is the admin topic signalling that the
 	// revocation plane moved: the gateway pulls the delta from its
@@ -742,12 +743,12 @@ type wireRequest struct {
 // via AttachTransport, the TCP edge via netedge.Server). transportID names
 // the connection the message arrived on — transports with per-connection
 // identity pass it so sessions opened here are bound to the connection and
-// submissions resolve against that binding; transports without one pass ""
-// and sessions stay unbound. The payload slice is only borrowed: binary
-// submissions alias it zero-copy during the chain run, but nothing retains
-// it past return (the encrypt stage replaces the payload before any
-// holding stage buffers the request), so stream transports may reuse their
-// read buffer for the next frame.
+// submissions and closes resolve against that binding; transports without
+// one pass "" and sessions stay unbound. The payload slice is only
+// borrowed: binary submissions alias it zero-copy during the chain run, but
+// nothing retains it past return (the encrypt stage replaces the payload
+// before any holding stage buffers the request), so stream transports may
+// reuse their read buffer for the next frame.
 func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, transportID string) ([]byte, error) {
 	switch topic {
 	case TopicSubmit:
@@ -829,7 +830,9 @@ func (g *Gateway) ServeWire(ctx context.Context, topic string, payload []byte, t
 		if mgr == nil {
 			return nil, fmt.Errorf("gateway %s: pipeline has no session stage", g.name)
 		}
-		mgr.Close(string(payload))
+		if err := mgr.CloseBound(string(payload), transportID); err != nil {
+			return nil, fmt.Errorf("gateway %s: session close: %w", g.name, err)
+		}
 		return []byte("ok"), nil
 	case TopicRevocationNotify:
 		if g.revoker == nil {

@@ -315,7 +315,7 @@ func init() {
 			if env.CAKey.IsZero() {
 				return nil, errors.New("Env.CAKey is required")
 			}
-			return NewAuthn(env.CAKey, env.Now), nil
+			return newAuthn(env.certs, env.Now), nil
 		},
 	})
 	mustRegisterStage(stageDef{
@@ -468,7 +468,7 @@ func buildSessionStage(p *params, sc StageConfig, env Env) (Stage, error) {
 			}
 		}
 		var err error
-		mgr, err = NewSessionManager(env.CAKey, ttl, idle, env.Now,
+		mgr, err = newSessionManager(env.certs, ttl, idle, env.Now,
 			WithMaxPerPrincipal(maxPer),
 			WithRequestAuth(reqauth),
 			WithRevocationChecks(env.Revoker, mode, sweepEvery))

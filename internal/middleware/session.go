@@ -245,7 +245,9 @@ func (m *SessionManager) stripeFor(token string) *sessionStripe {
 // stripe, while the control plane (open, close, sweeps, revocation deltas,
 // the per-principal index) serializes on a separate mutex.
 type SessionManager struct {
-	caKey           dcrypto.PublicKey
+	// certs verifies hello certificates against the pinned CA key,
+	// remembering the ones it already verified.
+	certs           *pki.CertVerifier
 	ttl             time.Duration
 	idle            time.Duration
 	maxPerPrincipal int
@@ -373,6 +375,12 @@ func NewSessionManager(caKey dcrypto.PublicKey, ttl, idle time.Duration, now fun
 	if caKey.IsZero() {
 		return nil, errors.New("middleware: session manager needs the CA key")
 	}
+	return newSessionManager(pki.NewCertVerifier(caKey), ttl, idle, now, opts...)
+}
+
+// newSessionManager is NewSessionManager over a certificate verifier shared
+// with the rest of the chain (Config.Build).
+func newSessionManager(certs *pki.CertVerifier, ttl, idle time.Duration, now func() time.Time, opts ...SessionOption) (*SessionManager, error) {
 	if ttl <= 0 || idle <= 0 {
 		return nil, fmt.Errorf("middleware: session ttl and idle must be positive, got ttl=%v idle=%v", ttl, idle)
 	}
@@ -383,7 +391,7 @@ func NewSessionManager(caKey dcrypto.PublicKey, ttl, idle time.Duration, now fun
 		now = coarseNow
 	}
 	m := &SessionManager{
-		caKey:        caKey,
+		certs:        certs,
 		ttl:          ttl,
 		idle:         idle,
 		now:          now,
@@ -423,9 +431,12 @@ func (m *SessionManager) RequestAuth() RequestAuthMode { return m.reqauth }
 // sessionMACInfo labels the HKDF derivation of per-session request keys.
 const sessionMACInfo = "middleware/session/mac/v1/"
 
-// Open verifies the handshake exactly as the authn stage verifies a
-// request — certificate chains to the CA, identity matches, signature
-// verifies against the certified key — and issues an unguessable token.
+// Open verifies the handshake as the authn stage verifies a request —
+// identity matches, certificate chains to the CA, signature verifies
+// against the certified key — and issues an unguessable token. Cheap
+// rejections (stale issue time, identity mismatch, an already-consumed
+// nonce) run before either ECDSA verify, and the CA check goes through a
+// pki.CertVerifier, so only the first open under a certificate pays it.
 // Under reqauth=mac the grant additionally carries a per-session HMAC key,
 // derived via HKDF salted with the handshake transcript digest so the
 // symmetric fast path stays rooted in the PKI handshake it amortizes.
@@ -446,7 +457,27 @@ func (m *SessionManager) OpenBound(hello SessionHello, transportID string) (Sess
 	if hello.IssuedAt.Before(now.Add(-helloFreshness)) || hello.IssuedAt.After(now.Add(helloFreshness)) {
 		return SessionGrant{}, fmt.Errorf("%w: issued %v, now %v", ErrStaleHello, hello.IssuedAt, now)
 	}
-	if err := pki.VerifyCertificate(hello.Cert, m.caKey, now); err != nil {
+	// Cheap rejections run before any ECDSA verify, so a mismatched or
+	// replayed hello costs no public-key work.
+	if hello.Cert.Identity != hello.Principal {
+		return SessionGrant{}, fmt.Errorf("%w: cert for %q, hello by %q",
+			ErrIdentityMismatch, hello.Cert.Identity, hello.Principal)
+	}
+	// This nonce lookup is read-only: an unverified hello must not consume
+	// a nonce (or it could burn someone else's), so the authoritative
+	// check-and-insert runs below, after the signature verifies.
+	nonceKey := hex.EncodeToString(hello.Nonce)
+	m.mu.Lock()
+	_, seen := m.seenNonces[nonceKey]
+	m.mu.Unlock()
+	if seen {
+		return SessionGrant{}, fmt.Errorf("%w: principal %s", ErrReplayedHello, hello.Principal)
+	}
+	// The first open under a certificate pays the CA signature verify; the
+	// verifier remembers it, so later opens under it pay only the hello
+	// signature below.
+	key, err := m.certs.Verify(hello.Cert, now)
+	if err != nil {
 		return SessionGrant{}, fmt.Errorf("session open %s: %w", hello.Principal, err)
 	}
 	// A revoked certificate cannot root a new session, whatever the check
@@ -457,14 +488,6 @@ func (m *SessionManager) OpenBound(hello SessionHello, transportID string) (Sess
 	if m.revMode != RevokeCheckOff && m.revoker.IsRevoked(hello.Cert.Serial) {
 		return SessionGrant{}, fmt.Errorf("%w: open by %s (serial %d)",
 			ErrSessionRevoked, hello.Principal, hello.Cert.Serial)
-	}
-	if hello.Cert.Identity != hello.Principal {
-		return SessionGrant{}, fmt.Errorf("%w: cert for %q, hello by %q",
-			ErrIdentityMismatch, hello.Cert.Identity, hello.Principal)
-	}
-	key, err := hello.Cert.Key()
-	if err != nil {
-		return SessionGrant{}, fmt.Errorf("session open %s: %w", hello.Principal, err)
 	}
 	d := helloDigest(hello.Principal, hello.Nonce, hello.IssuedAt)
 	if err := key.Verify(d[:], hello.Sig); err != nil {
@@ -504,7 +527,6 @@ func (m *SessionManager) OpenBound(hello SessionHello, transportID string) (Sess
 
 	// A verified hello is consumed: its nonce is remembered until every
 	// copy of it has gone stale, so replaying it cannot mint a token.
-	nonceKey := hex.EncodeToString(hello.Nonce)
 	m.mu.Lock()
 	if now.Sub(m.lastSweep) >= m.sweepEvery {
 		m.sweepLocked(now)
@@ -555,17 +577,35 @@ func (m *SessionManager) OpenBound(hello SessionHello, transportID string) (Sess
 // revocation sweep — a client draining its sessions must never see an
 // error or skew a lifecycle counter for losing that race. Closing a
 // revocation-tombstoned token clears the tombstone, so an explicitly
-// closed token degrades to ErrNoSession like any other closed one.
+// closed token degrades to ErrNoSession like any other closed one. Close
+// ignores connection binding: it is the embedder's form, and the wire's
+// session.close goes through CloseBound.
 func (m *SessionManager) Close(token string) {
+	_ = m.close(token, "", false)
+}
+
+// CloseBound is Close presented over a transport connection: a session
+// bound to a different connection (or presented with no connection
+// identity) is refused with ErrSessionBound and stays live, exactly as
+// resolve refuses it, so a captured token cannot end its owner's session.
+func (m *SessionManager) CloseBound(token, transportID string) error {
+	return m.close(token, transportID, true)
+}
+
+func (m *SessionManager) close(token, transportID string, checkBinding bool) error {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	st := m.stripeFor(token)
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if s, ok := st.sessions[token]; ok {
+		if checkBinding && s.boundTo != "" && s.boundTo != transportID {
+			return ErrSessionBound
+		}
 		m.deleteSessionLocked(st, token, s)
 	}
 	delete(st.revoked, token)
-	st.mu.Unlock()
-	m.mu.Unlock()
+	return nil
 }
 
 // deleteSessionLocked removes a session from its stripe and the

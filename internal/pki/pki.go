@@ -2,7 +2,11 @@
 // every enterprise DLT (§2.1): a certificate authority that verifies party
 // identities during onboarding and issues certificates mapping public keys to
 // identities, plus certificates for one-time (pseudonymous) keys that reveal
-// the link only to parties that need to verify signatures.
+// the link only to parties that need to verify signatures. Relying parties
+// that see the same certificates again and again (a gateway verifying one
+// on every session handshake) use a CertVerifier, which pays the CA
+// signature check once per certificate; VerifyCertificate is the stateless
+// form.
 package pki
 
 import (
