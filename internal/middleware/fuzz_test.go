@@ -1,7 +1,9 @@
 package middleware
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"math/big"
 	"testing"
@@ -349,4 +351,80 @@ func FuzzSessionOpen(f *testing.F) {
 			t.Fatalf("granted a session for a hello whose signature does not verify: %v", err)
 		}
 	})
+}
+
+// FuzzParseGroupEnvelope throws arbitrary bytes at the group-envelope
+// decoder, in both codecs. No input may panic it; every envelope it
+// accepts re-encodes in the binary codec to bytes that parse back to an
+// equal envelope; and opening any accepted envelope as a member returns an
+// error or exactly the declared number of segments, never a panic.
+func FuzzParseGroupEnvelope(f *testing.F) {
+	ca, ps := enroll(f, "alice", "bob")
+	dir := StaticDirectory{"deals": {
+		"alice": ps["alice"].key.Public(),
+		"bob":   ps["bob"].key.Public(),
+	}}
+	for _, codec := range []string{CodecJSON, CodecBinary} {
+		sink := &accept{}
+		chain, err := groupCfg(2, codec).Build(Env{CAKey: ca.PublicKey(), Directory: dir}, sink.handler)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, p := range []string{"trade-0", "trade-1"} {
+			if err := chain.Execute(context.Background(), signedRequest(f, ps["alice"], "deals", []byte(p))); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if sink.count() != 1 {
+			f.Fatalf("%s: batch stage released %d groups, want 1", codec, sink.count())
+		}
+		group := sink.seen[0].Payload
+		f.Add(group)
+		f.Add(group[:len(group)/2]) // truncated frame
+	}
+	// A binary frame whose key count claims more entries than bytes remain.
+	noKeys, err := EncodeGroupEnvelope(GroupEnvelope{Scheme: GroupEnvelopeScheme, Channel: "deals", Count: 1, Ciphertext: []byte("ct")}, CodecBinary)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(binary.AppendUvarint(noKeys[:len(noKeys)-1], 1<<40))
+
+	key := ps["alice"].key
+	f.Fuzz(func(t *testing.T, data []byte) {
+		genv, err := ParseGroupEnvelope(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeGroupEnvelope(genv, CodecBinary)
+		if err != nil {
+			t.Fatalf("accepted envelope does not re-encode: %v", err)
+		}
+		back, err := ParseGroupEnvelope(enc)
+		if err != nil {
+			t.Fatalf("re-encoded envelope rejected: %v", err)
+		}
+		if !groupEnvelopesEqual(genv, back) {
+			t.Fatalf("binary round trip changed the envelope: %+v -> %+v", genv, back)
+		}
+		segs, err := OpenGroupEnvelope(genv, "alice", key)
+		if err == nil && uint64(len(segs)) != genv.Count {
+			t.Fatalf("opened %d segments from an envelope declaring %d", len(segs), genv.Count)
+		}
+	})
+}
+
+// groupEnvelopesEqual compares two group envelopes field by field, treating
+// nil and empty byte fields alike.
+func groupEnvelopesEqual(a, b GroupEnvelope) bool {
+	if a.Scheme != b.Scheme || a.Channel != b.Channel || a.Epoch != b.Epoch || a.Count != b.Count ||
+		!bytes.Equal(a.Ciphertext, b.Ciphertext) || len(a.Keys) != len(b.Keys) {
+		return false
+	}
+	for id, ka := range a.Keys {
+		kb, ok := b.Keys[id]
+		if !ok || !bytes.Equal(ka.EphemeralPub, kb.EphemeralPub) || !bytes.Equal(ka.Ciphertext, kb.Ciphertext) {
+			return false
+		}
+	}
+	return true
 }

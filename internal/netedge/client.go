@@ -72,14 +72,15 @@ type callResult struct {
 
 // Client is one pipelined edge connection: concurrent-safe, many requests
 // in flight matched to replies by request id, in-flight window bounded.
-// One goroutine reads the socket; callers write under a mutex through a
-// buffered writer flushed per call.
+// One goroutine reads the socket; each call writes its frame with one
+// syscall under the write mutex.
 type Client struct {
 	conn     net.Conn
-	bw       *bufio.Writer
-	wmu      sync.Mutex
 	maxFrame int
 	shed     bool
+
+	wmu  sync.Mutex
+	wbuf []byte // the frame being written, reused across calls
 
 	window chan struct{}
 	nextID atomic.Uint64
@@ -102,9 +103,13 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netedge: dial %s: %w", addr, err)
 	}
+	return newClient(conn, opt), nil
+}
+
+// newClient runs the client protocol over an established connection.
+func newClient(conn net.Conn, opt dialOptions) *Client {
 	c := &Client{
 		conn:     conn,
-		bw:       bufio.NewWriterSize(conn, 16<<10),
 		maxFrame: opt.maxFrame,
 		shed:     opt.shed,
 		window:   make(chan struct{}, opt.inFlight),
@@ -112,7 +117,7 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 		done:     make(chan struct{}),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // Close tears the connection down; in-flight calls fail with ErrClosed.
@@ -246,8 +251,9 @@ func (c *Client) Call(ctx context.Context, topic string, payload []byte) ([]byte
 // reply — the pipelining half of Call. The caller collects the reply with
 // Wait; sending a batch of CallAsyncs and then waiting turns N round trips
 // into one flight of frames and one flight of acks. payload is only read
-// before CallAsync returns. An error here means the frame never left
-// (backpressure shed or a dead connection) and no PendingCall exists.
+// before CallAsync returns. A nil error means the frame has been written
+// to the socket. An error means the frame never left (backpressure shed or
+// a dead connection) and no PendingCall exists.
 func (c *Client) CallAsync(ctx context.Context, topic string, payload []byte) (*PendingCall, error) {
 	// Acquire an in-flight slot: the bounded window that keeps one client
 	// from queueing unboundedly into a slow server. The slot belongs to the
@@ -274,15 +280,13 @@ func (c *Client) CallAsync(ctx context.Context, topic string, payload []byte) (*
 	c.pending[id] = ch
 	c.pmu.Unlock()
 
-	bp := framePool.Get().(*[]byte)
-	*bp = appendFrame((*bp)[:0], frameRequest, id, topic, payload)
 	c.wmu.Lock()
-	_, werr := c.bw.Write(*bp)
-	if werr == nil {
-		werr = c.bw.Flush()
+	c.wbuf = appendFrame(c.wbuf[:0], frameRequest, id, topic, payload)
+	_, werr := c.conn.Write(c.wbuf)
+	if cap(c.wbuf) > maxWriteBatch {
+		c.wbuf = nil // keep no buffer a large frame grew
 	}
 	c.wmu.Unlock()
-	framePool.Put(bp)
 	if werr != nil {
 		c.pmu.Lock()
 		delete(c.pending, id)

@@ -35,6 +35,14 @@
 // writes both carry deadlines, so a dead peer costs an idle window, not a
 // leaked connection.
 //
+// The writer coalesces: it takes one reply, drains without blocking the
+// replies already queued behind it, appends them to the first reply's
+// pooled buffer, and writes them with one deadline and one syscall, up to
+// queueDepth frames or 64 KiB per write. A reply with nothing queued
+// behind it is written at once, and one larger than 64 KiB is written
+// alone; an idle connection holds no write buffer. A connection pins at
+// most queueDepth queued replies plus the one batch being written.
+//
 // # Session binding
 //
 // Every connection gets a unique transport identity, stamped on each
@@ -50,5 +58,6 @@
 // requests in flight over one connection, matched by request id), with a
 // bounded in-flight window that blocks or sheds like the server side.
 // cmd/loadgen multiplexes tens of thousands of sessions over a small
-// connection pool this way.
+// connection pool this way. Each call writes its frame with one syscall,
+// from a buffer the client reuses and keeps no larger than 64 KiB.
 package netedge

@@ -69,6 +69,9 @@ func WithMaxFrame(n int) Option {
 }
 
 // WithQueueDepth bounds each connection's outbound reply queue. Default 64.
+// The writer coalesces what is queued into one socket write of at most
+// queueDepth replies, so a connection pins at most queueDepth queued
+// replies plus the one batch being written.
 func WithQueueDepth(n int) Option {
 	return func(o *options) {
 		if n > 0 {
@@ -104,9 +107,9 @@ func WithConnCloseHook(fn func(transportID string)) Option {
 	return func(o *options) { o.connClose = fn }
 }
 
-// framePool recycles encode buffers for reply and request frames: the
-// writer goroutine returns each buffer after the socket write, so steady
-// state allocates nothing per reply.
+// framePool recycles encode buffers for reply frames: the writer goroutine
+// returns each buffer once its bytes are appended to a batch or written,
+// so steady state allocates nothing per reply.
 var framePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -406,13 +409,53 @@ func (ec *edgeConn) enqueue(s *Server, bp *[]byte) bool {
 	}
 }
 
-// writeLoop drains the outbound queue to the socket under the write
-// deadline. On a write failure it closes the connection (unblocking the
-// reader) but keeps draining the queue so a blocked reader enqueue can
-// never deadlock teardown.
+// maxWriteBatch caps the bytes one coalesced reply write carries.
+const maxWriteBatch = 64 << 10
+
+// writeLoop drains the outbound queue to the socket, coalescing: it takes
+// one reply, then drains without blocking the replies already queued behind
+// it (up to queueDepth frames or maxWriteBatch bytes), appends them to the
+// first reply's buffer, and issues one deadline and one Write for the whole
+// batch. A reply with nothing queued behind it is written at once, and one
+// larger than maxWriteBatch is written alone; nothing waits for a batch to
+// fill, and an idle connection holds no write buffer. On a write failure it
+// closes the connection (unblocking the reader) but keeps draining the
+// queue so a blocked reader enqueue can never deadlock teardown.
 func (ec *edgeConn) writeLoop(s *Server) {
-	failed := false
-	for bp := range ec.out {
+	var (
+		next   *[]byte // a drained reply that did not fit the previous batch
+		failed bool
+	)
+	for {
+		bp := next
+		next = nil
+		if bp == nil {
+			var ok bool
+			if bp, ok = <-ec.out; !ok {
+				return
+			}
+		}
+		if !failed {
+		drain:
+			for n := 1; n < s.opt.queueDepth; n++ {
+				select {
+				case nb, ok := <-ec.out:
+					if !ok {
+						// Closed: the batch is still written, and the next
+						// receive ends the loop.
+						break drain
+					}
+					if len(*bp)+len(*nb) > maxWriteBatch {
+						next = nb
+						break drain
+					}
+					*bp = append(*bp, *nb...)
+					framePool.Put(nb)
+				default:
+					break drain
+				}
+			}
+		}
 		if !failed {
 			if s.opt.writeTimeout > 0 {
 				_ = ec.c.SetWriteDeadline(time.Now().Add(s.opt.writeTimeout))
